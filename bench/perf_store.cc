@@ -23,8 +23,13 @@
  * fetches and decodes artifacts instead of simulating; anything near
  * 1x means the daemon is not actually serving). With --baseline, the
  * speedup must additionally stay within 75% of the checked-in
- * baseline ratio — machine-independent, since both numbers come from
- * the same host. Wired into ctest under the perf-smoke label.
+ * baseline ratio. That ratio is comparable only at the baseline's
+ * thread count and interval count, because the cold side runs in
+ * parallel on the pool and the warm side does not; a run whose
+ * --intervals or WCT_THREADS differs from the baseline's
+ * base_intervals and wct_threads is refused (exit 1) before anything
+ * is measured. Wired into ctest under the perf-smoke label, at the
+ * baseline's configuration.
  */
 
 #include <algorithm>
@@ -47,6 +52,7 @@
 #include "pipeline/plans.hh"
 #include "serve/socket.hh"
 #include "serve/store_service.hh"
+#include "util/thread_pool.hh"
 
 namespace
 {
@@ -103,6 +109,24 @@ jsonNumber(const std::string &text, const std::string &key)
     return std::strtod(text.c_str() + colon + 1, nullptr);
 }
 
+/** A configuration as `--intervals=N at WCT_THREADS=T`. */
+std::string
+describeConfig(double intervals, double threads)
+{
+    std::ostringstream text;
+    const auto field = [&text](double value) {
+        if (std::isnan(value))
+            text << "(unrecorded)";
+        else
+            text << value;
+    };
+    text << "--intervals=";
+    field(intervals);
+    text << " at WCT_THREADS=";
+    field(threads);
+    return text.str();
+}
+
 } // namespace
 
 int
@@ -140,6 +164,47 @@ main(int argc, char **argv)
     if (!pipeline::isPlanName(plan)) {
         std::cerr << "perf_store: unknown plan " << plan << "\n";
         return 1;
+    }
+
+    // Read the baseline first: a comparison it cannot support is
+    // refused before any work is done.
+    double base_speedup = 0.0;
+    if (!baseline_path.empty()) {
+        std::ifstream in(baseline_path);
+        if (!in) {
+            std::cerr << "perf_store: cannot read baseline "
+                      << baseline_path << "\n";
+            return 1;
+        }
+        std::stringstream buf;
+        buf << in.rdbuf();
+        const std::string text = buf.str();
+        base_speedup = jsonNumber(text, "speedup");
+        if (std::isnan(base_speedup) || base_speedup <= 0.0) {
+            std::cerr << "perf_store: baseline has no usable "
+                         "speedup\n";
+            return 1;
+        }
+        // Like for like only (see the file comment).
+        const double base_intervals =
+            jsonNumber(text, "base_intervals");
+        const double base_threads = jsonNumber(text, "wct_threads");
+        const auto run_intervals = static_cast<double>(intervals);
+        const auto run_threads =
+            static_cast<double>(ThreadPool::configuredThreads());
+        if (base_intervals != run_intervals ||
+            base_threads != run_threads) {
+            std::cerr << "perf_store: cannot compare with "
+                      << baseline_path << ": this run is "
+                      << describeConfig(run_intervals, run_threads)
+                      << ", the baseline was recorded at "
+                      << describeConfig(base_intervals, base_threads)
+                      << "; the cold side runs in parallel and the "
+                         "warm side does not, so the speedup is "
+                         "comparable only at the baseline's "
+                         "configuration\n";
+            return 1;
+        }
     }
 
     // Reduced-scale protocol, same rationale as perf_pipeline: the
@@ -242,27 +307,15 @@ main(int argc, char **argv)
         return 1;
     }
     if (!baseline_path.empty()) {
-        std::ifstream in(baseline_path);
-        if (!in) {
-            std::cerr << "perf_store: cannot read baseline "
-                      << baseline_path << "\n";
-            return 1;
-        }
-        std::stringstream buf;
-        buf << in.rdbuf();
-        const double base = jsonNumber(buf.str(), "speedup");
-        if (std::isnan(base) || base <= 0.0) {
-            std::cerr << "perf_store: baseline has no usable "
-                         "speedup\n";
-            return 1;
-        }
         // Gate on the ratio, not absolute times: both numbers come
-        // from this host, so the check transfers across machines.
-        const double floor = 0.75 * base;
+        // from this host, and the configuration check above made the
+        // run's thread count and interval count the baseline's.
+        const double floor = 0.75 * base_speedup;
         if (speedup < floor) {
             std::cerr << "perf_store: FAIL: warm speedup " << speedup
-                      << "x fell below 75% of the baseline " << base
-                      << "x (floor " << floor << "x)\n";
+                      << "x fell below 75% of the baseline "
+                      << base_speedup << "x (floor " << floor
+                      << "x)\n";
             return 1;
         }
         std::cout << "perf_store: speedup gate OK (" << speedup

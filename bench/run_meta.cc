@@ -62,11 +62,10 @@ compilerId()
 std::string
 runMetadataJson(const std::string &indent)
 {
-    // Worker threads of the pool this run will actually fan out on;
-    // +1 for the calling thread matches WCT_THREADS semantics
-    // (WCT_THREADS=1 -> zero workers, inline execution).
-    const std::size_t wct_threads =
-        ThreadPool::global().workerCount() + 1;
+    // The value WCT_THREADS resolved to, which is what sizes the
+    // global pool (WCT_THREADS=1 -> zero workers, inline execution;
+    // WCT_THREADS=4 -> four workers).
+    const std::size_t wct_threads = ThreadPool::configuredThreads();
 
     std::ostringstream json;
     json << indent << "\"run_meta\": {\n"
