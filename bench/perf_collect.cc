@@ -73,20 +73,6 @@ timeCollection(const SuiteProfile &suite, const CollectionConfig &config,
     return result;
 }
 
-/** Value of the first `"key": <number>` in a (flat) JSON text. */
-double
-jsonNumber(const std::string &text, const std::string &key)
-{
-    const std::string quoted = "\"" + key + "\"";
-    const std::size_t pos = text.find(quoted);
-    if (pos == std::string::npos)
-        return std::nan("");
-    const std::size_t colon = text.find(':', pos + quoted.size());
-    if (colon == std::string::npos)
-        return std::nan("");
-    return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 } // namespace
 
 int
@@ -183,7 +169,7 @@ main(int argc, char **argv)
         }
         std::stringstream buf;
         buf << in.rdbuf();
-        const double base = jsonNumber(buf.str(), "speedup");
+        const double base = bench::jsonNumber(buf.str(), "speedup");
         if (std::isnan(base) || base <= 0.0) {
             std::cerr << "perf_collect: baseline has no usable "
                          "speedup\n";

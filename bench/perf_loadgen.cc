@@ -119,19 +119,6 @@ struct Fixture
     }
 };
 
-double
-jsonNumber(const std::string &text, const std::string &key)
-{
-    const std::string quoted = "\"" + key + "\"";
-    const std::size_t pos = text.find(quoted);
-    if (pos == std::string::npos)
-        return std::nan("");
-    const std::size_t colon = text.find(':', pos + quoted.size());
-    if (colon == std::string::npos)
-        return std::nan("");
-    return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 } // namespace
 
 int
@@ -323,7 +310,7 @@ main(int argc, char **argv)
         std::stringstream buf;
         buf << in.rdbuf();
         const double base =
-            jsonNumber(buf.str(), "sustained_ratio");
+            bench::jsonNumber(buf.str(), "sustained_ratio");
         if (std::isnan(base) || base <= 0.0) {
             std::cerr << "perf_loadgen: baseline has no usable "
                          "sustained_ratio\n";

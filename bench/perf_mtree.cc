@@ -269,20 +269,6 @@ compareEngines(const Dataset &data, MakeConfig make_config, int reps)
     return cmp;
 }
 
-/** Value of the first `"key": <number>` in a (flat) JSON text. */
-double
-jsonNumber(const std::string &text, const std::string &key)
-{
-    const std::string quoted = "\"" + key + "\"";
-    const std::size_t pos = text.find(quoted);
-    if (pos == std::string::npos)
-        return std::nan("");
-    const std::size_t colon = text.find(':', pos + quoted.size());
-    if (colon == std::string::npos)
-        return std::nan("");
-    return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 int
 runSmoke(int argc, char **argv)
 {
@@ -382,7 +368,7 @@ runSmoke(int argc, char **argv)
         std::stringstream buf;
         buf << in.rdbuf();
         const double base =
-            jsonNumber(buf.str(), "growth_speedup_presorted");
+            bench::jsonNumber(buf.str(), "growth_speedup_presorted");
         if (std::isnan(base) || base <= 0.0) {
             std::cerr << "perf_mtree: baseline has no usable "
                          "growth_speedup_presorted\n";

@@ -14,9 +14,15 @@
  * the warm-over-cold speedup must clear the 5x floor (a warm run
  * decodes artifacts instead of simulating, so anything near 1x means
  * the cache is not actually being hit). With --baseline, the speedup
- * must additionally stay within 75% of the checked-in baseline ratio
- * — machine-independent, since both numbers come from the same host.
- * Wired into ctest under the perf-smoke label.
+ * must additionally stay within 75% of the checked-in baseline ratio.
+ * Both numbers come from the same host, but the ratio is comparable
+ * only at the baseline's thread count and interval count: the cold
+ * side's simulation and the warm side's store pass both fan out over
+ * the pool, at different ratios. A run whose --intervals or
+ * WCT_THREADS differs from the baseline's base_intervals and
+ * wct_threads is refused (exit 1) before anything is measured. Wired
+ * into ctest under the perf-smoke label, at the baseline's
+ * configuration.
  */
 
 #include <algorithm>
@@ -71,20 +77,6 @@ timePlan(const std::string &plan,
     return result;
 }
 
-/** Value of the first `"key": <number>` in a (flat) JSON text. */
-double
-jsonNumber(const std::string &text, const std::string &key)
-{
-    const std::string quoted = "\"" + key + "\"";
-    const std::size_t pos = text.find(quoted);
-    if (pos == std::string::npos)
-        return std::nan("");
-    const std::size_t colon = text.find(':', pos + quoted.size());
-    if (colon == std::string::npos)
-        return std::nan("");
-    return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 } // namespace
 
 int
@@ -122,6 +114,34 @@ main(int argc, char **argv)
     if (!pipeline::isPlanName(plan)) {
         std::cerr << "perf_pipeline: unknown plan " << plan << "\n";
         return 1;
+    }
+
+    // Read the baseline first: a comparison it cannot support is
+    // refused before any work is done.
+    double base_speedup = 0.0;
+    if (!baseline_path.empty()) {
+        std::ifstream in(baseline_path);
+        if (!in) {
+            std::cerr << "perf_pipeline: cannot read baseline "
+                      << baseline_path << "\n";
+            return 1;
+        }
+        std::stringstream buf;
+        buf << in.rdbuf();
+        const std::string text = buf.str();
+        base_speedup = bench::jsonNumber(text, "speedup");
+        if (std::isnan(base_speedup) || base_speedup <= 0.0) {
+            std::cerr << "perf_pipeline: baseline has no usable "
+                         "speedup\n";
+            return 1;
+        }
+        const std::string mismatch =
+            bench::configMismatch(text, intervals);
+        if (!mismatch.empty()) {
+            std::cerr << "perf_pipeline: cannot compare with "
+                      << baseline_path << ": " << mismatch << "\n";
+            return 1;
+        }
     }
 
     // Reduced-scale protocol (same rationale as perf_collect): short
@@ -196,27 +216,14 @@ main(int argc, char **argv)
         return 1;
     }
     if (!baseline_path.empty()) {
-        std::ifstream in(baseline_path);
-        if (!in) {
-            std::cerr << "perf_pipeline: cannot read baseline "
-                      << baseline_path << "\n";
-            return 1;
-        }
-        std::stringstream buf;
-        buf << in.rdbuf();
-        const double base = jsonNumber(buf.str(), "speedup");
-        if (std::isnan(base) || base <= 0.0) {
-            std::cerr << "perf_pipeline: baseline has no usable "
-                         "speedup\n";
-            return 1;
-        }
         // Gate on the ratio, not absolute times: both numbers come
-        // from this host, so the check transfers across machines.
-        const double floor = 0.75 * base;
+        // from this host, and the configuration check above made the
+        // run's thread count and interval count the baseline's.
+        const double floor = 0.75 * base_speedup;
         if (speedup < floor) {
             std::cerr << "perf_pipeline: FAIL: warm speedup "
                       << speedup << "x fell below 75% of the baseline "
-                      << base << "x (floor " << floor << "x)\n";
+                      << base_speedup << "x (floor " << floor << "x)\n";
             return 1;
         }
         std::cout << "perf_pipeline: speedup gate OK (" << speedup

@@ -277,20 +277,6 @@ timeRawEval(const ModelTree &tree, const Dataset &probe,
     return result;
 }
 
-/** Value of the first `"key": <number>` in a (flat) JSON text. */
-double
-jsonNumber(const std::string &text, const std::string &key)
-{
-    const std::string quoted = "\"" + key + "\"";
-    const std::size_t pos = text.find(quoted);
-    if (pos == std::string::npos)
-        return std::nan("");
-    const std::size_t colon = text.find(':', pos + quoted.size());
-    if (colon == std::string::npos)
-        return std::nan("");
-    return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 } // namespace
 
 int
@@ -426,7 +412,7 @@ main(int argc, char **argv)
         }
         std::stringstream buf;
         buf << in.rdbuf();
-        const double base = jsonNumber(buf.str(), "batch_speedup");
+        const double base = bench::jsonNumber(buf.str(), "batch_speedup");
         if (std::isnan(base) || base <= 0.0) {
             std::cerr << "perf_serve: baseline has no usable "
                          "batch_speedup\n";
@@ -448,7 +434,7 @@ main(int argc, char **argv)
                   << "x floor)\n";
 
         const double base_compiled =
-            jsonNumber(buf.str(), "compiled_speedup");
+            bench::jsonNumber(buf.str(), "compiled_speedup");
         if (std::isnan(base_compiled) || base_compiled <= 0.0) {
             std::cerr << "perf_serve: baseline has no usable "
                          "compiled_speedup\n";

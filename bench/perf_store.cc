@@ -24,11 +24,11 @@
  * 1x means the daemon is not actually serving). With --baseline, the
  * speedup must additionally stay within 75% of the checked-in
  * baseline ratio. That ratio is comparable only at the baseline's
- * thread count and interval count, because the cold side runs in
- * parallel on the pool and the warm side does not; a run whose
- * --intervals or WCT_THREADS differs from the baseline's
- * base_intervals and wct_threads is refused (exit 1) before anything
- * is measured. Wired into ctest under the perf-smoke label, at the
+ * thread count and interval count, because the cold side's
+ * simulation and the warm side's fetches scale differently with the
+ * pool; a run whose --intervals or WCT_THREADS differs from the
+ * baseline's base_intervals and wct_threads is refused (exit 1)
+ * before anything is measured. Wired into ctest under the perf-smoke label, at the
  * baseline's configuration.
  */
 
@@ -95,38 +95,6 @@ timePlan(const std::string &plan,
     return result;
 }
 
-/** Value of the first `"key": <number>` in a (flat) JSON text. */
-double
-jsonNumber(const std::string &text, const std::string &key)
-{
-    const std::string quoted = "\"" + key + "\"";
-    const std::size_t pos = text.find(quoted);
-    if (pos == std::string::npos)
-        return std::nan("");
-    const std::size_t colon = text.find(':', pos + quoted.size());
-    if (colon == std::string::npos)
-        return std::nan("");
-    return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
-/** A configuration as `--intervals=N at WCT_THREADS=T`. */
-std::string
-describeConfig(double intervals, double threads)
-{
-    std::ostringstream text;
-    const auto field = [&text](double value) {
-        if (std::isnan(value))
-            text << "(unrecorded)";
-        else
-            text << value;
-    };
-    text << "--intervals=";
-    field(intervals);
-    text << " at WCT_THREADS=";
-    field(threads);
-    return text.str();
-}
-
 } // namespace
 
 int
@@ -179,30 +147,18 @@ main(int argc, char **argv)
         std::stringstream buf;
         buf << in.rdbuf();
         const std::string text = buf.str();
-        base_speedup = jsonNumber(text, "speedup");
+        base_speedup = bench::jsonNumber(text, "speedup");
         if (std::isnan(base_speedup) || base_speedup <= 0.0) {
             std::cerr << "perf_store: baseline has no usable "
                          "speedup\n";
             return 1;
         }
         // Like for like only (see the file comment).
-        const double base_intervals =
-            jsonNumber(text, "base_intervals");
-        const double base_threads = jsonNumber(text, "wct_threads");
-        const auto run_intervals = static_cast<double>(intervals);
-        const auto run_threads =
-            static_cast<double>(ThreadPool::configuredThreads());
-        if (base_intervals != run_intervals ||
-            base_threads != run_threads) {
+        const std::string mismatch =
+            bench::configMismatch(text, intervals);
+        if (!mismatch.empty()) {
             std::cerr << "perf_store: cannot compare with "
-                      << baseline_path << ": this run is "
-                      << describeConfig(run_intervals, run_threads)
-                      << ", the baseline was recorded at "
-                      << describeConfig(base_intervals, base_threads)
-                      << "; the cold side runs in parallel and the "
-                         "warm side does not, so the speedup is "
-                         "comparable only at the baseline's "
-                         "configuration\n";
+                      << baseline_path << ": " << mismatch << "\n";
             return 1;
         }
     }

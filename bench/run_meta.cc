@@ -1,5 +1,7 @@
 #include "bench/run_meta.hh"
 
+#include <cmath>
+#include <cstdlib>
 #include <sstream>
 #include <thread>
 
@@ -57,6 +59,24 @@ compilerId()
 #endif
 }
 
+/** A configuration as `--intervals=N at WCT_THREADS=T`. */
+std::string
+describeConfig(double intervals, double threads)
+{
+    std::ostringstream text;
+    const auto field = [&text](double value) {
+        if (std::isnan(value))
+            text << "(unrecorded)";
+        else
+            text << value;
+    };
+    text << "--intervals=";
+    field(intervals);
+    text << " at WCT_THREADS=";
+    field(threads);
+    return text.str();
+}
+
 } // namespace
 
 std::string
@@ -80,6 +100,37 @@ runMetadataJson(const std::string &indent)
          << std::thread::hardware_concurrency() << "\n"
          << indent << "}";
     return json.str();
+}
+
+double
+jsonNumber(const std::string &text, const std::string &key)
+{
+    const std::string quoted = "\"" + key + "\"";
+    const std::size_t pos = text.find(quoted);
+    if (pos == std::string::npos)
+        return std::nan("");
+    const std::size_t colon = text.find(':', pos + quoted.size());
+    if (colon == std::string::npos)
+        return std::nan("");
+    return std::strtod(text.c_str() + colon + 1, nullptr);
+}
+
+std::string
+configMismatch(const std::string &baseline, std::size_t intervals)
+{
+    const double base_intervals = jsonNumber(baseline, "base_intervals");
+    const double base_threads = jsonNumber(baseline, "wct_threads");
+    const auto run_intervals = static_cast<double>(intervals);
+    const auto run_threads =
+        static_cast<double>(ThreadPool::configuredThreads());
+    if (base_intervals == run_intervals && base_threads == run_threads)
+        return "";
+    return "this run is " + describeConfig(run_intervals, run_threads) +
+           ", the baseline was recorded at " +
+           describeConfig(base_intervals, base_threads) +
+           "; the cold and warm sides scale differently with the "
+           "pool, so the speedup is comparable only at the "
+           "baseline's configuration";
 }
 
 } // namespace wct::bench

@@ -5,11 +5,14 @@
  * it ran under. A checked-in baseline or a CI artifact is
  * only interpretable when the numbers carry their provenance — two
  * BENCH files that disagree should first be compared on this block.
+ * Also the baseline reading the cold/warm perf gates share: a number
+ * out of a baseline, and the like-for-like configuration check.
  */
 
 #ifndef WCT_BENCH_RUN_META_HH
 #define WCT_BENCH_RUN_META_HH
 
+#include <cstddef>
 #include <string>
 
 namespace wct::bench
@@ -26,6 +29,23 @@ namespace wct::bench
  * records that size in its own fields), and host CPU count.
  */
 std::string runMetadataJson(const std::string &indent);
+
+/** Value of the first `"key": <number>` in a flat JSON text such as
+ * a checked-in baseline; NaN when the key is absent. */
+double jsonNumber(const std::string &text, const std::string &key);
+
+/**
+ * Why a cold/warm ratio taken now cannot be compared with `baseline`
+ * (the text of a BENCH JSON), or "" when it can: this run's
+ * --intervals and the thread count WCT_THREADS resolved to must equal
+ * the baseline's base_intervals and wct_threads, because the cold and
+ * warm sides scale differently with the pool. The reason names both
+ * configurations, as "this run is --intervals=N at WCT_THREADS=T, the
+ * baseline was recorded at --intervals=N at WCT_THREADS=T", with
+ * "(unrecorded)" for a field the baseline lacks.
+ */
+std::string configMismatch(const std::string &baseline,
+                           std::size_t intervals);
 
 } // namespace wct::bench
 

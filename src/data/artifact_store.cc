@@ -5,7 +5,6 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include <unistd.h>
 
@@ -59,7 +58,7 @@ class LocalStoreBackend final : public StoreBackend
         if (!in)
             return std::nullopt; // missing: a plain miss, no warning
 
-        const auto envelope = readEnvelope(
+        auto envelope = readEnvelope(
             in, std::string_view(kArtifactMagic, 8),
             kArtifactFormatVersion, kMaxFilePayload);
         if (!envelope) {
@@ -80,13 +79,16 @@ class LocalStoreBackend final : public StoreBackend
                      keyHex(id.key), "); recomputing");
             return std::nullopt;
         }
-        std::string payload;
-        if (!parser.getString(payload) || !parser.atEnd()) {
+        // The payload is the envelope's tail: drop the prefix in
+        // place rather than copy the payload into a second buffer.
+        std::uint64_t size = 0;
+        if (!parser.getU64(size) || size != parser.remaining()) {
             wct_warn("ignoring corrupt or incompatible artifact '",
                      file, "'; recomputing");
             return std::nullopt;
         }
-        return payload;
+        envelope->erase(0, envelope->size() - size);
+        return std::move(*envelope);
     }
 
     bool
@@ -106,13 +108,12 @@ class LocalStoreBackend final : public StoreBackend
             return false;
         }
 
-        ByteSink full;
-        full.putString(id.kind);
-        full.putU64(id.key);
-        full.putString(std::string(payload));
-        std::ostringstream stream;
-        writeEnvelope(stream, std::string_view(kArtifactMagic, 8),
-                      kArtifactFormatVersion, full.bytes());
+        // The envelope holds (kind, key, payload); the payload is
+        // streamed after its (kind, key, length) prefix, never copied.
+        ByteSink prefix;
+        prefix.putString(id.kind);
+        prefix.putU64(id.key);
+        prefix.putU64(payload.size());
 
         // Unique temp name per writer, then an atomic rename:
         // concurrent writers of one key serialize on the rename
@@ -132,7 +133,9 @@ class LocalStoreBackend final : public StoreBackend
                          "'");
                 return false;
             }
-            out << stream.str();
+            writeEnvelope(out, std::string_view(kArtifactMagic, 8),
+                          kArtifactFormatVersion,
+                          {prefix.bytes(), payload});
             if (!out) {
                 wct_warn("short write to artifact file '", temp_path,
                          "'");

@@ -133,15 +133,28 @@ void
 writeEnvelope(std::ostream &out, std::string_view magic8,
               std::uint32_t version, std::string_view payload)
 {
+    writeEnvelope(out, magic8, version, {payload});
+}
+
+void
+writeEnvelope(std::ostream &out, std::string_view magic8,
+              std::uint32_t version,
+              std::initializer_list<std::string_view> parts)
+{
     wct_assert(magic8.size() == 8, "envelope magic must be 8 bytes");
+    std::uint64_t size = 0;
+    std::uint64_t checksum = kFnv1aOffset;
+    for (std::string_view part : parts) {
+        size += part.size();
+        checksum = fnv1a64(part, checksum);
+    }
     out.write(magic8.data(), 8);
     out.write(reinterpret_cast<const char *>(&version),
               sizeof version);
-    const std::uint64_t size = payload.size();
     out.write(reinterpret_cast<const char *>(&size), sizeof size);
-    out.write(payload.data(),
-              static_cast<std::streamsize>(payload.size()));
-    const std::uint64_t checksum = fnv1a64(payload);
+    for (std::string_view part : parts)
+        out.write(part.data(),
+                  static_cast<std::streamsize>(part.size()));
     out.write(reinterpret_cast<const char *>(&checksum),
               sizeof checksum);
 }

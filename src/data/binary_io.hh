@@ -26,6 +26,7 @@
 #define WCT_DATA_BINARY_IO_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -113,6 +114,12 @@ class ByteParser
 /** Write one checksummed envelope (see file comment for the layout). */
 void writeEnvelope(std::ostream &out, std::string_view magic8,
                    std::uint32_t version, std::string_view payload);
+
+/** The same envelope around the concatenation of `parts`, streamed
+ * part by part so the payload is never joined in memory. */
+void writeEnvelope(std::ostream &out, std::string_view magic8,
+                   std::uint32_t version,
+                   std::initializer_list<std::string_view> parts);
 
 /**
  * Read and verify one envelope; nullopt on bad magic, version

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <istream>
 #include <mutex>
 #include <ostream>
+#include <thread>
 
 #include "util/logging.hh"
 #include "util/socket_io.hh"
@@ -115,6 +117,15 @@ StoreClient::call(const StoreRequest &request, std::string *err)
 namespace
 {
 
+/** Daemon connections one handle has open at most: the daemon's
+ * default --dispatch-threads, so each has a dispatch worker to serve
+ * it. Only concurrent calls open more than one. */
+constexpr std::size_t kMaxPooledConnections = 4;
+
+/** Reconnects after the daemon closes a handle's only connection
+ * unanswered, waiting 1, 2, 4, ... ms: 255 ms in all. */
+constexpr int kRefusedBackoffs = 8;
+
 /** The read-through remote backend; see the header's file comment. */
 class RemoteStoreBackend final : public StoreBackend
 {
@@ -158,7 +169,7 @@ class RemoteStoreBackend final : public StoreBackend
         StoreRequest request;
         request.op = StoreOp::Load;
         request.artifact = id;
-        const auto response = call(std::move(request));
+        auto response = call(std::move(request));
         if (!response ||
             response->status == StoreStatus::NotFound)
             return std::nullopt; // a plain miss
@@ -180,7 +191,7 @@ class RemoteStoreBackend final : public StoreBackend
         }
         if (cache_.store(id, response->payload))
             evictToFit(cache_.path(id));
-        return response->payload;
+        return std::move(response->payload);
     }
 
     bool
@@ -256,59 +267,174 @@ class RemoteStoreBackend final : public StoreBackend
                          kind) != config_.contentKinds.end();
     }
 
-    /** One round trip, serialized on the shared connection. A failed
-     * call drops the connection and retries once (the daemon may
-     * have restarted); a daemon that stays down warns once and turns
-     * every later call into a cheap local-only miss. */
+    /** A connection checked out of the pool for one round trip. */
+    struct Lease
+    {
+        std::optional<StoreClient> client; ///< nullopt: connect failed
+        bool fresh = false; ///< opened for this round trip
+        bool extra = false; ///< opened beside another: one round trip
+        std::string err;    ///< why the connect failed
+    };
+
+    /** What release() does with a leased connection. */
+    enum class Drop
+    {
+        Keep,    ///< it answered: idle, or closed if an extra
+        Refused, ///< an extra the daemon closed unanswered: shrink
+        Broken,  ///< close it, and the idle ones a restart left stale
+    };
+
+    /**
+     * One round trip on a pooled connection; the mutex guards only
+     * the pool, never the round trip. A daemon over its
+     * --max-connections accepts and closes, so a new connection that
+     * fails before its first answer was refused, not lost: an extra
+     * one is dropped and the request waits for an open connection; a
+     * handle's only one backs off and reconnects (other workers'
+     * extras close after each round trip). A connection that answered
+     * before and fails now (a restart left it stale) is retried once.
+     * A daemon that is down, or stays full or broken, warns once and
+     * turns every later call into a cheap local-only miss.
+     */
     std::optional<StoreResponse>
     call(StoreRequest request) const
     {
-        std::lock_guard lock(mutex_);
         request.id =
             nextId_.fetch_add(1, std::memory_order_relaxed);
-        for (int attempt = 0; attempt < 2; ++attempt) {
+        bool retried = false;
+        for (int backoffs = 0;;) {
+            Lease lease = acquire();
+            if (!lease.client) {
+                release(lease, Drop::Broken);
+                warnOnce(lease.err);
+                return std::nullopt;
+            }
             std::string err;
-            if (!client_) {
-                const auto endpoint =
-                    parseStoreUrl(config_.url, &err);
-                if (!endpoint) {
-                    warnOnce(err);
-                    return std::nullopt;
-                }
-                auto client = StoreClient::connect(*endpoint, &err);
-                if (!client) {
-                    warnOnce("store daemon at '" + config_.url +
-                             "' unreachable (" + err +
-                             "); continuing local-only");
-                    return std::nullopt;
-                }
-                client_ = std::move(*client);
-                warned_ = false;
-            }
-            auto response = client_->call(request, &err);
+            auto response = lease.client->call(request, &err);
             if (response) {
-                if (response->id != request.id ||
-                    response->op != request.op) {
-                    warnOnce("store daemon answered with a mismatched "
-                             "frame; dropping the connection");
-                    client_.reset();
-                    return std::nullopt;
+                if (response->id == request.id &&
+                    response->op == request.op) {
+                    release(lease, Drop::Keep);
+                    return response;
                 }
-                return response;
+                release(lease, Drop::Broken);
+                warnOnce("store daemon answered with a mismatched "
+                         "frame; dropping the connection");
+                return std::nullopt;
             }
-            client_.reset(); // stale connection: retry once
+            if (lease.extra) { // extras are always new
+                release(lease, Drop::Refused);
+                continue;
+            }
+            release(lease, Drop::Broken);
+            if (!lease.fresh) {
+                if (retried)
+                    break;
+                retried = true; // stale connection: retry once
+                continue;
+            }
+            if (backoffs == kRefusedBackoffs || warned()) {
+                warnOnce("store daemon at '" + config_.url +
+                         "' keeps closing new connections (over its "
+                         "--max-connections?); continuing local-only");
+                return std::nullopt;
+            }
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(1 << backoffs++));
         }
         warnOnce("store daemon at '" + config_.url +
                  "' dropped the connection; continuing local-only");
         return std::nullopt;
     }
 
+    /** An idle connection, else a new one while the pool is under
+     * its limit, else wait for one to come back. */
+    Lease
+    acquire() const
+    {
+        Lease lease;
+        {
+            std::unique_lock lock(mutex_);
+            poolCv_.wait(lock, [this] {
+                return idle_.has_value() || open_ < limit_;
+            });
+            if (idle_) {
+                lease.client = std::move(idle_);
+                idle_.reset();
+                return lease;
+            }
+            lease.fresh = true;
+            lease.extra = open_ > 0;
+            ++open_; // reserve the slot; connect outside the lock
+        }
+        const auto endpoint = parseStoreUrl(config_.url, &lease.err);
+        if (!endpoint)
+            return lease;
+        std::string err;
+        lease.client = StoreClient::connect(*endpoint, &err);
+        if (!lease.client)
+            lease.err = "store daemon at '" + config_.url +
+                        "' unreachable (" + err +
+                        "); continuing local-only";
+        return lease;
+    }
+
+    /**
+     * Return a leased connection. Only the handle's first connection
+     * stays open between calls; an extra one, opened while another
+     * was open, closes after its round trip. So a handle holds one
+     * daemon connection at rest, as before the pool, and a burst's
+     * extras hold a slot of the daemon's --max-connections only while
+     * they fetch, never while other workers wait to connect. The
+     * pool's limit shrinks when the daemon refuses an extra and grows
+     * back once no connection is leased.
+     */
+    void
+    release(Lease &lease, Drop drop) const
+    {
+        std::optional<StoreClient> closing;
+        {
+            std::lock_guard lock(mutex_);
+            if (drop == Drop::Keep) {
+                warned_ = false; // the daemon answers again
+                if (!lease.extra) {
+                    idle_ = std::move(lease.client);
+                } else {
+                    closing = std::move(lease.client);
+                    --open_;
+                }
+            } else {
+                --open_;
+                if (drop == Drop::Refused) {
+                    limit_ = std::max<std::size_t>(1, open_);
+                } else if (idle_) {
+                    closing = std::move(idle_); // stale after a restart
+                    idle_.reset();
+                    --open_;
+                }
+            }
+            if (open_ == (idle_ ? 1u : 0u))
+                limit_ = kMaxPooledConnections;
+        }
+        poolCv_.notify_all();
+    }
+
+    bool
+    warned() const
+    {
+        std::lock_guard lock(mutex_);
+        return warned_;
+    }
+
     void
     warnOnce(const std::string &message) const
     {
-        if (warned_)
-            return;
-        warned_ = true;
+        {
+            std::lock_guard lock(mutex_);
+            if (warned_)
+                return;
+            warned_ = true;
+        }
         wct_warn(message);
     }
 
@@ -374,10 +500,13 @@ class RemoteStoreBackend final : public StoreBackend
 
     RemoteStoreConfig config_;
     ArtifactStore cache_;
-    mutable std::mutex mutex_;      ///< connection + request id
-    mutable std::mutex evictMutex_; ///< cache-size enforcement
-    mutable std::optional<StoreClient> client_;
+    mutable std::mutex mutex_; ///< the pool fields and warned_
+    mutable std::condition_variable poolCv_;
+    mutable std::optional<StoreClient> idle_; ///< the first connection
+    mutable std::size_t open_ = 0; ///< idle plus leased connections
+    mutable std::size_t limit_ = kMaxPooledConnections;
     mutable bool warned_ = false;
+    mutable std::mutex evictMutex_; ///< cache-size enforcement
     mutable std::atomic<std::uint64_t> nextId_{1};
 };
 

@@ -22,8 +22,19 @@
  *  - any wire failure (daemon down, malformed response, truncated
  *    frame) is a warning plus a miss; pipelines recompute.
  *
- * Thread safety: one connection guarded by a mutex (collection shards
- * store from a parallel loop); eviction is serialized the same way.
+ * Thread safety: every operation may run concurrently (collection
+ * loads and stores shards from a parallel loop). A handle has at most
+ * 4 daemon connections open, the daemon's default --dispatch-threads,
+ * and leases each to a single caller per round trip; only the pool
+ * bookkeeping is under the mutex, never a round trip. Connections
+ * open lazily, never when the handle is built. Only the first stays
+ * open between calls: an extra one, opened beside it, closes after
+ * its round trip, so a worker at rest holds one of the daemon's
+ * --max-connections slots. A daemon over that cap accepts and closes:
+ * a refused extra makes the request wait for an open connection, and
+ * a refused only connection backs off and reconnects, so a full
+ * daemon costs parallelism, not misses. Eviction is serialized under
+ * its own mutex.
  */
 
 #ifndef WCT_DATA_REMOTE_STORE_HH
@@ -72,8 +83,9 @@ struct RemoteStoreConfig
 
 /**
  * Blocking WCTSTOR client: connect once, then one call() at a time
- * (callers serialize; RemoteStore does so behind its mutex). Used
- * directly by the `wct store ping/ls/gc/shutdown` commands.
+ * (callers serialize; RemoteStore leases each pooled client to one
+ * caller at a time). Used directly by the `wct store
+ * ping/ls/gc/shutdown` commands.
  */
 class StoreClient
 {

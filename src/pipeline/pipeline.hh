@@ -74,9 +74,10 @@ class Pipeline
 
     /**
      * Append an externally-executed stage record. The shard-granular
-     * collect stage drives its own load/compute/store loop (hits
-     * decode serially, misses fan out over the pool) and records one
-     * StageRun per shard in deterministic task order through here.
+     * collect stage drives its own load/compute/store loop (both the
+     * store pass and the misses fan out over the pool) and records
+     * one StageRun per shard in deterministic task order through
+     * here.
      */
     void record(StageRun run) { runs_.push_back(std::move(run)); }
 

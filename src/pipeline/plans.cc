@@ -33,26 +33,34 @@ suiteKeys(const SuiteProfile &suite, const PlanProtocol &protocol)
     return keys;
 }
 
-/** Collect + train one suite; fills `keys` for downstream chaining. */
-SuiteModel
-buildSuite(Pipeline &pipe, const SuiteProfile &suite,
-           const PlanProtocol &protocol, SuiteKeys &keys)
+/** A trained suite with its keys, as a transfer step consumes it. */
+struct BuiltSuite
 {
-    keys = suiteKeys(suite, protocol);
+    SuiteKeys keys;
+    SuiteModel model;
+};
+
+/** Collect + train one suite. */
+BuiltSuite
+buildSuite(Pipeline &pipe, const SuiteProfile &suite,
+           const PlanProtocol &protocol)
+{
+    const SuiteKeys keys = suiteKeys(suite, protocol);
     const SuiteData data =
         collectStage(pipe, suite, protocol.collection);
-    return trainStage(pipe, data, keys.collect, protocol.model);
+    return {keys, trainStage(pipe, data, keys.collect, protocol.model)};
 }
 
-/** The full single-suite plan: collect, train, profile, similarity. */
-void
+/** The full single-suite plan: collect, train, profile, similarity.
+ * Returns the trained suite for a transfer step to reuse. */
+BuiltSuite
 runSuitePlan(Pipeline &pipe, const SuiteProfile &suite,
              const PlanProtocol &protocol, std::ostream &out)
 {
-    SuiteKeys keys = suiteKeys(suite, protocol);
+    const SuiteKeys keys = suiteKeys(suite, protocol);
     const SuiteData data =
         collectStage(pipe, suite, protocol.collection);
-    const SuiteModel model =
+    SuiteModel model =
         trainStage(pipe, data, keys.collect, protocol.model);
     const ProfileTable table =
         profileStage(pipe, data, model.tree, keys.train);
@@ -66,6 +74,7 @@ runSuitePlan(Pipeline &pipe, const SuiteProfile &suite,
         << ", mean CPI: " << model.meanCpi << "\n\n";
     out << table.render() << "\n";
     out << sim.render() << "\n";
+    return {keys, std::move(model)};
 }
 
 TransferabilityConfig
@@ -80,35 +89,28 @@ transferConfig(const std::string &model_name,
 
 /** The four cross/self assessments of Section VI over both suites. */
 void
-runTransferPlan(Pipeline &pipe, const PlanProtocol &protocol,
-                std::ostream &out)
+runTransfers(Pipeline &pipe, const BuiltSuite &cpu,
+             const BuiltSuite &omp, std::ostream &out)
 {
-    SuiteKeys cpu_keys;
-    SuiteKeys omp_keys;
-    const SuiteModel cpu =
-        buildSuite(pipe, specCpu2006(), protocol, cpu_keys);
-    const SuiteModel omp =
-        buildSuite(pipe, specOmp2001(), protocol, omp_keys);
-
     struct Direction
     {
-        const SuiteModel *model;
-        std::uint64_t modelKey;
-        const SuiteModel *target;
-        std::uint64_t targetKey;
+        const BuiltSuite *model;
+        const BuiltSuite *target;
     };
     const Direction directions[] = {
-        {&cpu, cpu_keys.train, &cpu, cpu_keys.train},
-        {&cpu, cpu_keys.train, &omp, omp_keys.train},
-        {&omp, omp_keys.train, &omp, omp_keys.train},
-        {&omp, omp_keys.train, &cpu, cpu_keys.train},
+        {&cpu, &cpu},
+        {&cpu, &omp},
+        {&omp, &omp},
+        {&omp, &cpu},
     };
     for (const Direction &d : directions) {
+        const SuiteModel &model = d.model->model;
+        const SuiteModel &target = d.target->model;
         const auto report = transferStage(
-            pipe, *d.model, d.modelKey, d.target->test, d.targetKey,
-            "test",
-            transferConfig(d.model->suiteName,
-                           d.target->suiteName + ".test"));
+            pipe, model, d.model->keys.train, target.test,
+            d.target->keys.train, "test",
+            transferConfig(model.suiteName,
+                           target.suiteName + ".test"));
         out << report.render() << "\n";
     }
 }
@@ -228,13 +230,19 @@ runPlan(Pipeline &pipe, const std::string &name,
         return;
     }
     if (name == "transfer") {
-        runTransferPlan(pipe, protocol, out);
+        const BuiltSuite cpu = buildSuite(pipe, specCpu2006(), protocol);
+        const BuiltSuite omp = buildSuite(pipe, specOmp2001(), protocol);
+        runTransfers(pipe, cpu, omp, out);
         return;
     }
     if (name == "full") {
-        runSuitePlan(pipe, specCpu2006(), protocol, out);
-        runSuitePlan(pipe, specOmp2001(), protocol, out);
-        runTransferPlan(pipe, protocol, out);
+        // The transfer step reuses the suites the two suite plans
+        // built instead of collecting and training them again.
+        const BuiltSuite cpu =
+            runSuitePlan(pipe, specCpu2006(), protocol, out);
+        const BuiltSuite omp =
+            runSuitePlan(pipe, specOmp2001(), protocol, out);
+        runTransfers(pipe, cpu, omp, out);
         return;
     }
     wct_fatal("unknown plan '", name, "'");

@@ -610,11 +610,10 @@ collectStage(Pipeline &pipe, const SuiteProfile &suite,
         }
     }
 
-    // Serial store pass first: hits decode in deterministic order
-    // (no concurrent remote fetches racing on one connection), and
-    // only the true misses fan out below.
-    std::vector<std::size_t> misses;
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
+    // Store pass over the pool: each task loads and decodes into its
+    // own pre-assigned slot, so a fleet worker fetches several shards
+    // at once (the remote backend pools its daemon connections).
+    parallelFor(tasks.size(), [&](std::size_t t) {
         ShardTask &task = tasks[t];
         const auto start = std::chrono::steady_clock::now();
         if (auto payload = pipe.store().load(task.run.id)) {
@@ -628,13 +627,15 @@ collectStage(Pipeline &pipe, const SuiteProfile &suite,
             }
         }
         task.run.ms = msSince(start);
-        if (!task.run.cached)
+    });
+    std::vector<std::size_t> misses;
+    for (std::size_t t = 0; t < tasks.size(); ++t)
+        if (!tasks[t].run.cached)
             misses.push_back(t);
-    }
 
     // Misses compute and publish over the pool into pre-assigned
     // slots. Both store backends are thread-safe writers (atomic
-    // rename locally, a mutex-serialized connection remotely).
+    // rename locally, pooled connections remotely).
     parallelFor(misses.size(), [&](std::size_t m) {
         ShardTask &task = tasks[misses[m]];
         const auto start = std::chrono::steady_clock::now();

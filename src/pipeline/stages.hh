@@ -153,13 +153,14 @@ decodeTransferReport(std::string_view payload);
 
 /**
  * Collect a suite at shard granularity: every (benchmark, shard)
- * task is its own ("collect-shard", collectShardKey) artifact. Hits
- * load and decode in a serial deterministic pass; misses compute and
- * publish over the work-stealing pool into pre-assigned slots; the
- * stitch is a fixed-order concatenation of the shard datasets — so
- * the suite is byte-identical for any WCT_THREADS and any warm/cold
- * mix, and a fleet of workers sharing one store dedupes at shard
- * granularity. Records one StageRun per shard.
+ * task is its own ("collect-shard", collectShardKey) artifact. A
+ * store pass loads and decodes every task over the work-stealing
+ * pool, then the misses compute and publish over it, both into
+ * pre-assigned slots; the stitch is a fixed-order concatenation of
+ * the shard datasets — so the suite is byte-identical for any
+ * WCT_THREADS and any warm/cold mix, and a fleet of workers sharing
+ * one store dedupes at shard granularity. Records one StageRun per
+ * shard, in task order.
  */
 SuiteData collectStage(Pipeline &pipe, const SuiteProfile &suite,
                        const CollectionConfig &config);

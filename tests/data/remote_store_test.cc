@@ -4,13 +4,16 @@
  * live `wct store serve` daemon: URL parsing, fleet sharing through
  * one daemon, read-through caching, content re-hash rejection of a
  * tampered payload, LRU eviction under --store-cache-bytes with
- * concurrent readers, daemon-down degradation, cold-cluster vs
+ * concurrent readers, daemon-down degradation, pooled connections
+ * under a connection cap and a restart, cold-cluster vs
  * warm-cluster byte-identity at any WCT_THREADS, and shard-granular
  * invalidation of a single-benchmark config change.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -57,18 +60,68 @@ struct TempDir
     }
 };
 
+/**
+ * Forwards every request to a StoreService and records the most it
+ * served at once. `delayUs` holds each request so that round trips
+ * on separate connections overlap, which makes the count show how
+ * many connections a worker keeps busy.
+ */
+struct CountingHandler final : serve::FrameHandler
+{
+    explicit CountingHandler(serve::StoreService &service)
+        : service(service)
+    {
+    }
+
+    std::string
+    handlePayload(std::string_view payload) override
+    {
+        const int now = inFlight.fetch_add(1) + 1;
+        int seen = maxInFlight.load();
+        while (now > seen &&
+               !maxInFlight.compare_exchange_weak(seen, now)) {
+        }
+        if (const int us = delayUs.load(); us > 0)
+            std::this_thread::sleep_for(std::chrono::microseconds(us));
+        std::string response = service.handlePayload(payload);
+        inFlight.fetch_sub(1);
+        return response;
+    }
+
+    std::string
+    malformedResponse(const std::string &reason) override
+    {
+        return service.malformedResponse(reason);
+    }
+
+    bool
+    shuttingDown() const override
+    {
+        return service.shuttingDown();
+    }
+
+    serve::StoreService &service;
+    std::atomic<int> delayUs{0};
+    std::atomic<int> inFlight{0};
+    std::atomic<int> maxInFlight{0};
+};
+
 /** One live store daemon on a Unix socket for a test's duration. */
 struct LiveDaemon
 {
     serve::StoreService service;
+    CountingHandler handler{service};
     serve::SocketServer transport;
     std::string url;
 
     explicit LiveDaemon(const std::string &dir,
                         const std::string &sock,
-                        serve::StoreServiceConfig config = {})
+                        serve::StoreServiceConfig config = {},
+                        std::size_t max_connections =
+                            serve::SocketConfig{}.maxConnections)
         : service(ArtifactStore(dir), config),
-          transport(service, socketConfig(sock)), url("unix:" + sock)
+          transport(handler, socketConfig(sock, max_connections)),
+          url("unix:" + sock)
     {
         std::string err;
         if (!transport.start(&err))
@@ -77,10 +130,12 @@ struct LiveDaemon
 
     ~LiveDaemon() { transport.stop(); }
 
-    static serve::SocketConfig socketConfig(const std::string &sock)
+    static serve::SocketConfig socketConfig(const std::string &sock,
+                                            std::size_t max_connections)
     {
         serve::SocketConfig config;
         config.unixPath = sock;
+        config.maxConnections = max_connections;
         config.frameMagic = std::string(kStoreWireMagic, 8);
         config.frameVersion = kStoreWireFormatVersion;
         config.maxFramePayload = kMaxStoreFramePayload;
@@ -340,6 +395,206 @@ TEST(RemoteStoreTest, RemoveListAndGcReachTheDaemon)
     EXPECT_EQ(removed[0].kind, "train");
     EXPECT_FALSE(daemon.service.store().contains({"train", 3}));
     EXPECT_TRUE(daemon.service.store().contains({"collect-shard", 1}));
+}
+
+/** Distinct deterministic payload of artifact `i` (a few KiB). */
+std::string
+artifactPayload(int i)
+{
+    std::string bytes(3000 + 97 * i, '\0');
+    for (std::size_t b = 0; b < bytes.size(); ++b)
+        bytes[b] = static_cast<char>((b * 131 + i * 7) & 0xff);
+    return bytes;
+}
+
+constexpr int kConcurrentLoaders = 8;
+
+/** Plant artifacts [first, first + count) in the daemon's store. */
+void
+plantArtifacts(const LiveDaemon &daemon, int first, int count)
+{
+    for (int i = first; i < first + count; ++i)
+        EXPECT_TRUE(daemon.service.store().store(
+            {"collect-shard", static_cast<std::uint64_t>(i)},
+            artifactPayload(i)));
+}
+
+/**
+ * Plant `count` artifacts in the daemon's store, then have
+ * kConcurrentLoaders threads per worker handle, all released
+ * together, load them through handles with empty caches: each handle
+ * loads all of them, its thread t taking every kConcurrentLoaders-th
+ * artifact from t. Returns what was printed to stderr meanwhile;
+ * every payload must come back byte-identical.
+ */
+std::string
+loadTogether(const LiveDaemon &daemon,
+             const std::vector<const ArtifactStore *> &workers,
+             int first, int count)
+{
+    plantArtifacts(daemon, first, count);
+    testing::internal::CaptureStderr();
+    const int threads =
+        kConcurrentLoaders * static_cast<int>(workers.size());
+    std::atomic<int> ready{0};
+    std::vector<std::thread> loaders;
+    for (int n = 0; n < threads; ++n)
+        loaders.emplace_back([&, n] {
+            const ArtifactStore &worker = *workers[n / kConcurrentLoaders];
+            const int t = n % kConcurrentLoaders;
+            ready.fetch_add(1);
+            while (ready.load() < threads)
+                std::this_thread::yield();
+            for (int i = first + t; i < first + count;
+                 i += kConcurrentLoaders) {
+                const auto loaded = worker.load(
+                    {"collect-shard", static_cast<std::uint64_t>(i)});
+                ASSERT_TRUE(loaded.has_value()) << i;
+                EXPECT_EQ(*loaded, artifactPayload(i)) << i;
+            }
+        });
+    for (std::thread &loader : loaders)
+        loader.join();
+    return testing::internal::GetCapturedStderr();
+}
+
+/** loadTogether through one worker handle. */
+std::string
+loadConcurrently(const LiveDaemon &daemon, const ArtifactStore &worker,
+                 int first, int count)
+{
+    return loadTogether(daemon, {&worker}, first, count);
+}
+
+TEST(RemoteStoreTest, ConcurrentLoadsOfDistinctArtifactsAreByteIdentical)
+{
+    const TempDir dir("concurrent");
+    fs::create_directories(dir.path / "daemon");
+    fs::create_directories(dir.path / "cache");
+    const LiveDaemon daemon(dir.file("daemon"), dir.file("store.sock"));
+    const ArtifactStore worker = workerStore(daemon, dir.file("cache"));
+    const std::string log = loadConcurrently(daemon, worker, 0, 32);
+    EXPECT_EQ(log, "");
+}
+
+TEST(RemoteStoreTest, ConnectionCapOfOneServesEveryConcurrentLoad)
+{
+    // The daemon accepts and closes every connection past its cap,
+    // so all but one of the worker's pooled connections are refused;
+    // the loads move to the connection that stays open instead of
+    // missing or going local-only.
+    const TempDir dir("cap");
+    fs::create_directories(dir.path / "daemon");
+    fs::create_directories(dir.path / "cache");
+    const LiveDaemon daemon(dir.file("daemon"), dir.file("store.sock"),
+                            {}, 1);
+    const ArtifactStore worker = workerStore(daemon, dir.file("cache"));
+    // One load first, so the concurrent ones find a connection open
+    // and open extras beside it.
+    ASSERT_TRUE(daemon.service.store().store({"train", 1}, "warm-up"));
+    ASSERT_TRUE(worker.load({"train", 1}).has_value());
+    const std::string log = loadConcurrently(daemon, worker, 0, 32);
+    EXPECT_EQ(log.find("local-only"), std::string::npos) << log;
+    EXPECT_EQ(log, "");
+}
+
+TEST(RemoteStoreTest, DaemonRestartedMidRunRecoversWithOneRetry)
+{
+    // Every pooled connection goes stale when the daemon restarts.
+    // The next load's one retry opens a new connection (the stale
+    // idle ones are dropped with the first failure), so loads after
+    // the restart hit, concurrent ones included, and nothing warns.
+    const TempDir dir("restart");
+    fs::create_directories(dir.path / "daemon");
+    fs::create_directories(dir.path / "cache");
+    std::optional<LiveDaemon> daemon;
+    daemon.emplace(dir.file("daemon"), dir.file("store.sock"));
+    const ArtifactStore worker = workerStore(*daemon, dir.file("cache"));
+    EXPECT_EQ(loadConcurrently(*daemon, worker, 0, 16), "");
+
+    daemon.reset();
+    daemon.emplace(dir.file("daemon"), dir.file("store.sock"));
+    ASSERT_TRUE(
+        daemon->service.store().store({"train", 2}, "after restart"));
+    testing::internal::CaptureStderr();
+    const auto loaded = worker.load({"train", 2});
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(*loaded, "after restart");
+    EXPECT_EQ(loadConcurrently(*daemon, worker, 16, 16), "");
+}
+
+TEST(RemoteStoreTest, HandlesWhosePoolsExceedTheCapAllHit)
+{
+    // Three workers whose pools could open 12 connections share a
+    // daemon capped at 3. A worker keeps only one connection once
+    // its burst ends, so all three fit at rest; a worker whose first
+    // connection lands while another's burst fills the cap backs off
+    // and reconnects instead of going local-only.
+    const TempDir dir("fleetcap");
+    fs::create_directories(dir.path / "daemon");
+    LiveDaemon daemon(dir.file("daemon"), dir.file("store.sock"), {},
+                      3);
+    daemon.handler.delayUs = 500;
+    std::vector<ArtifactStore> workers;
+    for (int w = 0; w < 3; ++w) {
+        const std::string cache = dir.file("cache" + std::to_string(w));
+        fs::create_directories(cache);
+        workers.push_back(workerStore(daemon, cache));
+    }
+    const std::string log = loadTogether(
+        daemon, {&workers[0], &workers[1], &workers[2]}, 0, 24);
+    EXPECT_EQ(log, "");
+    // At rest each worker holds one connection: the cap has room for
+    // a serial load by every one of them, and nothing warns.
+    ASSERT_TRUE(daemon.service.store().store({"train", 3}, "at rest"));
+    testing::internal::CaptureStderr();
+    for (const ArtifactStore &worker : workers)
+        EXPECT_TRUE(worker.load({"train", 3}).has_value());
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+}
+
+TEST(RemoteStoreTest, RestartUnderConcurrentLoadsKeepsThePoolWide)
+{
+    // Loads that find the daemon down miss; none of them may shrink
+    // the pool for good. Once the daemon is back, concurrent loads
+    // again run on more than one connection.
+    const TempDir dir("restartwide");
+    fs::create_directories(dir.path / "daemon");
+    fs::create_directories(dir.path / "cache");
+    std::optional<LiveDaemon> daemon;
+    daemon.emplace(dir.file("daemon"), dir.file("store.sock"));
+    daemon->handler.delayUs = 1000;
+    const ArtifactStore worker = workerStore(*daemon, dir.file("cache"));
+    plantArtifacts(*daemon, 0, 64);
+
+    testing::internal::CaptureStderr(); // the down window warns
+    std::atomic<int> ready{0};
+    std::vector<std::thread> loaders;
+    for (int t = 0; t < kConcurrentLoaders; ++t)
+        loaders.emplace_back([&, t] {
+            ready.fetch_add(1);
+            for (int i = t; i < 64; i += kConcurrentLoaders) {
+                const auto loaded = worker.load(
+                    {"collect-shard", static_cast<std::uint64_t>(i)});
+                if (loaded) { // a miss is allowed while it is down
+                    EXPECT_EQ(*loaded, artifactPayload(i)) << i;
+                }
+            }
+        });
+    while (ready.load() < kConcurrentLoaders)
+        std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    daemon.reset();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    daemon.emplace(dir.file("daemon"), dir.file("store.sock"));
+    for (std::thread &loader : loaders)
+        loader.join();
+    testing::internal::GetCapturedStderr();
+
+    daemon->handler.delayUs = 1000;
+    EXPECT_EQ(loadConcurrently(*daemon, worker, 64, 16), "");
+    EXPECT_GT(daemon->handler.maxInFlight.load(), 1);
 }
 
 TEST(RemoteStoreTest, ColdAndWarmClusterRunsAreByteIdentical)

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include "data/artifact_store.hh"
+#include "data/binary_io.hh"
 
 namespace wct
 {
@@ -224,6 +225,84 @@ TEST(ArtifactStoreTest, OversizedClaimedPayloadRejected)
         bytes[12 + i] = static_cast<char>(0xff);
     writeFileBytes(store.path(id), bytes);
     EXPECT_FALSE(store.load(id).has_value());
+}
+
+/** Deterministic pseudo-random bytes (xorshift64). */
+std::string
+pinPayload(std::size_t n)
+{
+    std::string bytes(n, '\0');
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (char &c : bytes) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        c = static_cast<char>(x);
+    }
+    return bytes;
+}
+
+TEST(ArtifactStoreTest, StoredFileBytesArePinned)
+{
+    // The writer streams the envelope piece by piece; these digests
+    // of whole artifact files were taken from the earlier writer,
+    // which staged the full envelope in memory, so the file format
+    // cannot drift. Both sizes round-trip through load.
+    const TempDir dir("pinned");
+    const ArtifactStore store(dir.path.string());
+    struct Case
+    {
+        ArtifactId id;
+        std::size_t payloadBytes;
+        std::size_t fileBytes;
+        std::uint64_t fileDigest;
+    };
+    const Case cases[] = {
+        {{"collect-shard", 0x1234}, 37, 102, 0xf19b167d92a4209full},
+        {{"train", 0xfeed}, 200'000, 200'057, 0x5166735b2aeec83cull},
+    };
+    for (const Case &c : cases) {
+        const std::string payload = pinPayload(c.payloadBytes);
+        ASSERT_TRUE(store.store(c.id, payload));
+        const std::string file = readFileBytes(store.path(c.id));
+        EXPECT_EQ(file.size(), c.fileBytes) << c.id.fileName();
+        EXPECT_EQ(fnv1a64(file), c.fileDigest) << c.id.fileName();
+        const auto loaded = store.load(c.id);
+        ASSERT_TRUE(loaded.has_value()) << c.id.fileName();
+        EXPECT_EQ(*loaded, payload) << c.id.fileName();
+    }
+}
+
+TEST(ArtifactStoreTest, PayloadLengthMustCoverTheRestOfTheEnvelope)
+{
+    // A well-formed envelope whose (kind, key, length) prefix claims
+    // fewer payload bytes than follow it is refused, not truncated.
+    const TempDir dir("length");
+    const ArtifactStore store(dir.path.string());
+    const ArtifactId id{"train", 77};
+    ByteSink body;
+    body.putString(id.kind);
+    body.putU64(id.key);
+    body.putU64(4);
+    const std::string inner = body.bytes() + "payload";
+    std::ostringstream file;
+    writeEnvelope(file, std::string_view(kArtifactMagic, 8),
+                  kArtifactFormatVersion, inner);
+    writeFileBytes(store.path(id), file.str());
+    EXPECT_FALSE(store.load(id).has_value());
+
+    // The same envelope with the true length loads.
+    ByteSink exact;
+    exact.putString(id.kind);
+    exact.putU64(id.key);
+    exact.putString("payload");
+    std::ostringstream good;
+    writeEnvelope(good, std::string_view(kArtifactMagic, 8),
+                  kArtifactFormatVersion, exact.bytes());
+    writeFileBytes(store.path(id), good.str());
+    const auto loaded = store.load(id);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(*loaded, "payload");
 }
 
 TEST(ArtifactStoreTest, ConcurrentWritersOfTheSameKeyAreSafe)

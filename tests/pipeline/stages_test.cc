@@ -18,6 +18,8 @@
 #include "mtree/serialize.hh"
 #include "pipeline/plans.hh"
 #include "pipeline/stages.hh"
+#include "util/logging.hh"
+#include "util/thread_pool.hh"
 #include "workload/suites.hh"
 
 namespace wct
@@ -319,6 +321,90 @@ TEST(StageRunTest, CorruptArtifactRecomputesAndRepairs)
     const auto repaired = store.load(id);
     ASSERT_TRUE(repaired.has_value());
     EXPECT_EQ(*repaired, first_payload);
+}
+
+/** Puts the global pool back to 0 workers on scope exit, so a failed
+ * ASSERT cannot leave later tests on a resized pool. */
+struct PoolSizeReset
+{
+    ~PoolSizeReset() { ThreadPool::resetGlobalForTest(0); }
+};
+
+TEST(StageRunTest, ParallelStorePassMatchesAtAnyPoolSize)
+{
+    // A mixed store: half the shards pre-stored, one of those with a
+    // flipped byte (the file fails its checksum) and one holding a
+    // payload that is not a shard dataset. The store pass runs over
+    // the pool; at 0 and 4 workers the suite bytes, the StageRun
+    // labels and cached flags (in task order) must be the same, the
+    // two bad shards recompute, and their files are repaired.
+    const TempDir dir("mixed");
+    const SuiteProfile suite = miniSuite();
+    CollectionConfig config = miniConfig();
+    config.shards = 3;
+    const std::vector<ArtifactId> ids =
+        collectShardArtifacts(suite, config);
+    ASSERT_EQ(ids.size(), 9u);
+
+    const ArtifactStore reference((dir.path / "reference").string());
+    std::string reference_bytes;
+    {
+        pipeline::Pipeline pipe{reference};
+        reference_bytes = encodeSuiteData(collectStage(pipe, suite, config));
+    }
+    const std::size_t corrupt = 2;
+    const std::size_t undecodable = 4;
+
+    std::vector<std::string> labels[2];
+    std::vector<bool> cached[2];
+    const std::size_t workers[2] = {0, 4};
+    const PoolSizeReset pool_reset;
+    for (int w = 0; w < 2; ++w) {
+        ThreadPool::resetGlobalForTest(workers[w]);
+        const ArtifactStore store(
+            (dir.path / ("pool" + std::to_string(workers[w])))
+                .string());
+        for (std::size_t t = 0; t < ids.size(); t += 2) {
+            ASSERT_TRUE(store.store(ids[t], *reference.load(ids[t])));
+        }
+        std::ifstream in(store.path(ids[corrupt]), std::ios::binary);
+        std::stringstream buf;
+        buf << in.rdbuf();
+        in.close();
+        std::string bytes = buf.str();
+        bytes[bytes.size() / 2] ^= 0x04;
+        std::ofstream(store.path(ids[corrupt]),
+                      std::ios::binary | std::ios::trunc)
+            << bytes;
+        ASSERT_TRUE(store.store(ids[undecodable], "not a dataset"));
+
+        pipeline::Pipeline pipe{store};
+        const bool quiet = setLogQuiet(true);
+        const SuiteData data = collectStage(pipe, suite, config);
+        setLogQuiet(quiet);
+        EXPECT_EQ(encodeSuiteData(data), reference_bytes)
+            << "workers=" << workers[w];
+        ASSERT_EQ(pipe.runs().size(), ids.size());
+        for (std::size_t t = 0; t < ids.size(); ++t) {
+            const StageRun &run = pipe.runs()[t];
+            EXPECT_EQ(run.id.key, ids[t].key) << t;
+            labels[w].push_back(run.label);
+            cached[w].push_back(run.cached);
+            const bool stored =
+                t % 2 == 0 && t != corrupt && t != undecodable;
+            EXPECT_EQ(run.cached, stored)
+                << "workers=" << workers[w] << " task " << t;
+        }
+        for (const std::size_t t : {corrupt, undecodable}) {
+            const auto repaired = store.load(ids[t]);
+            ASSERT_TRUE(repaired.has_value()) << t;
+            EXPECT_EQ(*repaired, *reference.load(ids[t])) << t;
+        }
+    }
+    EXPECT_EQ(labels[0], labels[1]);
+    EXPECT_EQ(cached[0], cached[1]);
+    EXPECT_EQ(labels[0].front(), "collect-shard:mini.0/0");
+    EXPECT_EQ(labels[0].back(), "collect-shard:mini.2/2");
 }
 
 TEST(StageRunTest, DisabledStoreStillComputes)
